@@ -5,12 +5,13 @@
 // measured from the *scheduled* arrival time — queueing delay from a server
 // falling behind is charged to the requests, not hidden (no coordinated
 // omission). Sources are zipf-sampled over degree-ranked nodes, the skew
-// that makes hot-shard replication and the result cache earn their keep.
+// that makes the result cache earn its keep.
 //
 // Rows: a closed-loop calibration row (capacity estimate the arrival rates
 // are derived from), then route vs. broadcast at a comfortable rate (~50%
-// of capacity) and a saturating rate (~200%, shedding on), plus routed rows
-// with hot-shard replication and with the front-door result cache. Counters
+// of capacity) and a saturating rate (~200%, shedding on), plus a routed row
+// with the front-door result cache. Broadcast is the trivial all-machines
+// routing plan. Counters
 // report goodput, shed rate, scheduled-arrival latency percentiles
 // (p50/p95/p99/p999), machine-rounds and coordinator bytes per query, bytes
 // routing saved, and the cache hit rate.
@@ -83,19 +84,14 @@ std::vector<NodeId> ZipfSources(size_t count, uint64_t seed) {
 
 struct ServingConfig {
   RoutingMode mode = RoutingMode::kRoute;
-  size_t replicate_bytes = 0;
   size_t cache_bytes = 0;
 };
 
 std::unique_ptr<QueryServer> MakeServer(const ServingConfig& config) {
   auto pre = SharedPrecomputation();
-  ReplicationOptions replication;
-  replication.budget_bytes = config.replicate_bytes;
-  HgpaQueryEngine engine(
-      HgpaIndex::Distribute(pre, kMachines, StorageOptions::FromEnv(),
-                            replication),
-      NetworkModel{}, TransportOptions::FromEnv(),
-      RoutingOptions{config.mode});
+  HgpaQueryEngine engine(HgpaIndex::Distribute(pre, kMachines),
+                         NetworkModel{}, TransportOptions::FromEnv(),
+                         RoutingOptions{config.mode});
   ServeOptions options;
   options.max_pending = kMaxPending;
   options.shed_on_overload = true;
@@ -223,14 +219,9 @@ void RegisterRows() {
   AddRow("serving_scale/web/broadcast/load=2.0", [] {
     return MeasureOpenLoop(ServingConfig{RoutingMode::kBroadcast}, 2.0);
   });
-  AddRow("serving_scale/web/route+replicate/load=0.5", [] {
-    return MeasureOpenLoop(
-        ServingConfig{RoutingMode::kRoute, /*replicate_bytes=*/4 << 20, 0},
-        0.5);
-  });
   AddRow("serving_scale/web/route+cache/load=0.5", [] {
     return MeasureOpenLoop(
-        ServingConfig{RoutingMode::kRoute, 0, /*cache_bytes=*/4 << 20}, 0.5);
+        ServingConfig{RoutingMode::kRoute, /*cache_bytes=*/4 << 20}, 0.5);
   });
 }
 

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 
 #include "dppr/common/env.h"
 #include "dppr/common/serialize.h"
-#include "dppr/common/timer.h"
 #include "dppr/ppr/sparse_vector.h"
 
 namespace dppr {
@@ -23,20 +21,17 @@ bool PrefetchEnabledFromEnv() {
   return true;
 }
 
-}  // namespace
-
-ReplicationOptions ReplicationOptions::FromEnv() {
-  ReplicationOptions options;
-  int64_t budget = GetEnvInt("DPPR_REPLICATE_BYTES", 0);
-  DPPR_CHECK_GE(budget, 0);
-  options.budget_bytes = static_cast<size_t>(budget);
-  return options;
+/// True when `machine` is in `plan` (machines are sorted).
+bool PlanTargets(const QueryRouter::Plan& plan, size_t machine) {
+  return std::binary_search(plan.machines.begin(), plan.machines.end(),
+                            machine);
 }
+
+}  // namespace
 
 HgpaIndex HgpaIndex::Distribute(
     std::shared_ptr<const HgpaPrecomputation> precomputation,
-    size_t num_machines, const StorageOptions& storage,
-    const ReplicationOptions& replication) {
+    size_t num_machines, const StorageOptions& storage) {
   DPPR_CHECK(precomputation != nullptr);
   DPPR_CHECK_GE(num_machines, 1u);
 
@@ -80,12 +75,11 @@ HgpaIndex HgpaIndex::Distribute(
 
   index.machine_hubs_ = std::move(plan.machine_hubs);
   index.own_machine_ = std::move(plan.own_machine);
-  index.ReplicateHotShards(replication);
   return index;
 }
 
 HgpaIndex HgpaIndex::FromDistributed(DistributedPrecompute::Result result,
-                                     const ReplicationOptions& replication) {
+                                     ReplicationOptions) {
   DPPR_CHECK(result.graph != nullptr);
   DPPR_CHECK(result.hierarchy != nullptr);
   DPPR_CHECK_GE(result.stores.size(), 1u);
@@ -98,69 +92,7 @@ HgpaIndex HgpaIndex::FromDistributed(DistributedPrecompute::Result result,
   index.machine_hubs_ = std::move(result.plan.machine_hubs);
   index.own_machine_ = std::move(result.plan.own_machine);
   index.offline_ = std::move(result.ledger);
-  index.ReplicateHotShards(replication);
   return index;
-}
-
-void HgpaIndex::ReplicateHotShards(const ReplicationOptions& replication) {
-  if (replication.budget_bytes == 0 || stores_.size() <= 1) return;
-  // Routing can only skip (or absorb) a machine for a chain subgraph when
-  // EVERY hub that machine owns in the subgraph is replicated — a partial
-  // group still forces the machine into the round. So replication packs
-  // whole (subgraph, owner) hub groups. Heat proxy: a subgraph's reach —
-  // the nodes whose query chain passes through it is exactly its node set,
-  // so high-level groups that sit on every chain score highest — divided by
-  // the group's bytes (most fan-out reduction per replicated byte).
-  struct Group {
-    double score;
-    SubgraphId sub;
-    uint32_t owner;
-    size_t bytes;
-  };
-  std::vector<Group> groups;
-  for (size_t m = 0; m < stores_.size(); ++m) {
-    for (const auto& [sub, hubs] : machine_hubs_[m]) {
-      size_t bytes = 0;
-      for (NodeId hub : hubs) {
-        PpvPair pair = stores_[m].FindPair(sub, hub);
-        DPPR_CHECK(pair.skeleton);
-        DPPR_CHECK(pair.partial);
-        bytes += pair.skeleton->SerializedBytes() +
-                 pair.partial->SerializedBytes();
-      }
-      const double reach =
-          static_cast<double>(hierarchy_->subgraph(sub).nodes.size());
-      groups.push_back({reach / static_cast<double>(bytes), sub,
-                        static_cast<uint32_t>(m), bytes});
-    }
-  }
-  // (sub, owner) is unique, so the order is total and every machine
-  // replicates the same set regardless of hash-map iteration order.
-  std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
-    if (a.score != b.score) return a.score > b.score;
-    if (a.sub != b.sub) return a.sub < b.sub;
-    return a.owner < b.owner;
-  });
-  for (const Group& g : groups) {
-    // Groups are replicated whole or not at all; an oversized group is
-    // skipped and packing continues with the smaller ones behind it.
-    if (replica_bytes_ + g.bytes > replication.budget_bytes) continue;
-    for (NodeId hub : machine_hubs_[g.owner].at(g.sub)) {
-      PpvPair pair = stores_[g.owner].FindPair(g.sub, hub);
-      const size_t skeleton_bytes = pair.skeleton->SerializedBytes();
-      const size_t partial_bytes = pair.partial->SerializedBytes();
-      for (size_t m = 0; m < stores_.size(); ++m) {
-        if (m == g.owner) continue;
-        stores_[m].PutOwned(VectorKind::kSkeletonColumn, g.sub, hub,
-                            *pair.skeleton, skeleton_bytes);
-        stores_[m].PutOwned(VectorKind::kHubPartial, g.sub, hub,
-                            *pair.partial, partial_bytes);
-      }
-      replicated_hubs_.insert(
-          MakeVectorKey(VectorKind::kHubPartial, g.sub, hub));
-    }
-    replica_bytes_ += g.bytes;
-  }
 }
 
 size_t HgpaIndex::MaxMachineBytes() const {
@@ -199,29 +131,26 @@ HgpaQueryEngine::HgpaQueryEngine(HgpaIndex index, NetworkModel network,
                                  RoutingOptions routing)
     : index_(std::move(index)),
       cluster_(index_.num_machines(), network, /*sequential=*/false, transport),
-      prefetch_enabled_(PrefetchEnabledFromEnv()) {
-  if (routing.mode == RoutingMode::kRoute) {
-    router_ = std::make_shared<const QueryRouter>(index_);
-  }
-}
+      prefetch_enabled_(PrefetchEnabledFromEnv()),
+      router_(std::make_shared<const QueryRouter>(index_, routing.mode)) {}
 
-void HgpaQueryEngine::CollectOwnerKeys(size_t owner,
-                                       std::span<const Preference> preferences,
-                                       std::vector<uint64_t>& keys) const {
+void HgpaQueryEngine::CollectKeys(size_t machine,
+                                  std::span<const Preference> preferences,
+                                  std::vector<uint64_t>& keys) const {
   const Hierarchy& hierarchy = index_.hierarchy();
-  const auto& owner_hubs = index_.hubs_on_machine(owner);
+  const auto& my_hubs = index_.hubs_on_machine(machine);
   for (const Preference& pref : preferences) {
     if (pref.weight == 0.0) continue;
     NodeId query = pref.node;
     for (SubgraphId sub : hierarchy.Chain(query)) {
-      auto it = owner_hubs.find(sub);
-      if (it == owner_hubs.end()) continue;
+      auto it = my_hubs.find(sub);
+      if (it == my_hubs.end()) continue;
       for (NodeId hub : it->second) {
         keys.push_back(MakeVectorKey(VectorKind::kSkeletonColumn, sub, hub));
         keys.push_back(MakeVectorKey(VectorKind::kHubPartial, sub, hub));
       }
     }
-    if (index_.own_vector_machine(query) == owner) {
+    if (index_.own_vector_machine(query) == machine) {
       SubgraphId final_sub = hierarchy.final_subgraph(query);
       VectorKind kind = hierarchy.is_hub(query) ? VectorKind::kHubPartial
                                                 : VectorKind::kOwnVector;
@@ -230,87 +159,46 @@ void HgpaQueryEngine::CollectOwnerKeys(size_t owner,
   }
 }
 
-std::vector<uint64_t> HgpaQueryEngine::CollectBatchKeys(
-    size_t machine, std::span<const std::span<const Preference>> queries) const {
-  std::vector<uint64_t> keys;
-  for (std::span<const Preference> preferences : queries) {
-    CollectOwnerKeys(machine, preferences, keys);
-  }
-  return keys;
-}
-
-std::vector<uint8_t> HgpaQueryEngine::MachineTask(
-    size_t machine, std::span<const std::span<const Preference>> queries) const {
+std::vector<uint8_t> HgpaQueryEngine::RoutedMachineTask(
+    size_t machine, std::span<const std::span<const Preference>> queries,
+    std::span<const QueryRouter::Plan> plans) const {
   // Pull the batch's cold extents in up front with sorted, coalesced reads:
   // without this every miss preads one extent inside the fold, serialized
   // per hub. Only the disk backend has anything to load, so the in-memory
   // backends skip the key enumeration entirely.
   const PpvStore& store = index_.store(machine);
   if (prefetch_enabled_ && store.backend() == StorageBackend::kDisk) {
-    store.Prefetch(CollectBatchKeys(machine, queries));
+    std::vector<uint64_t> keys;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      if (PlanTargets(plans[q], machine)) {
+        CollectKeys(machine, queries[q], keys);
+      }
+    }
+    store.Prefetch(keys);
   }
+
   // One accumulator reused across the batch (Clear is O(touched)); the
-  // payload concatenates one serialized fragment per query, in query order.
+  // payload concatenates one serialized fragment per targeting query, in
+  // query order.
   DenseAccumulator acc(index_.hierarchy().num_nodes());
   ByteWriter writer;
-  for (std::span<const Preference> preferences : queries) {
-    AccumulateOwner(machine, machine, preferences, acc);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    if (!PlanTargets(plans[q], machine)) continue;
+    Accumulate(machine, queries[q], acc);
     acc.ToSparse().SerializeTo(writer);
     acc.Clear();
   }
   return writer.Release();
 }
 
-std::vector<uint8_t> HgpaQueryEngine::RoutedMachineTask(
-    size_t machine, std::span<const std::span<const Preference>> queries,
-    std::span<const QueryRouter::Plan> plans) const {
-  // Which slot of each plan this machine fills (SIZE_MAX = not targeted).
-  auto slot_of = [&](const QueryRouter::Plan& plan) -> size_t {
-    auto it = std::lower_bound(plan.machines.begin(), plan.machines.end(),
-                               machine);
-    if (it == plan.machines.end() || *it != machine) return SIZE_MAX;
-    return static_cast<size_t>(it - plan.machines.begin());
-  };
-
-  const PpvStore& store = index_.store(machine);
-  if (prefetch_enabled_ && store.backend() == StorageBackend::kDisk) {
-    std::vector<uint64_t> keys;
-    for (size_t q = 0; q < queries.size(); ++q) {
-      const size_t slot = slot_of(plans[q]);
-      if (slot == SIZE_MAX) continue;
-      for (size_t owner : plans[q].owners[slot]) {
-        CollectOwnerKeys(owner, queries[q], keys);
-      }
-    }
-    store.Prefetch(keys);
-  }
-
-  DenseAccumulator acc(index_.hierarchy().num_nodes());
-  ByteWriter writer;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const size_t slot = slot_of(plans[q]);
-    if (slot == SIZE_MAX) continue;
-    // One fragment per covered owner, each folded with the exact loop the
-    // owner itself would run — absorbed owners differ only in which store
-    // the (replicated) vectors are read from, never in fold order.
-    for (size_t owner : plans[q].owners[slot]) {
-      AccumulateOwner(machine, owner, queries[q], acc);
-      acc.ToSparse().SerializeTo(writer);
-      acc.Clear();
-    }
-  }
-  return writer.Release();
-}
-
-void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
-                                      std::span<const Preference> preferences,
-                                      DenseAccumulator& acc) const {
+void HgpaQueryEngine::Accumulate(size_t machine,
+                                 std::span<const Preference> preferences,
+                                 DenseAccumulator& acc) const {
   const Hierarchy& hierarchy = index_.hierarchy();
   const PpvStore& store = index_.store(machine);
   const double alpha = index_.options().ppr.alpha;
 
-  const auto& my_hubs = index_.hubs_on_machine(owner);
-
+  const auto& my_hubs = index_.hubs_on_machine(machine);
   for (const Preference& pref : preferences) {
     NodeId query = pref.node;
     double query_weight = pref.weight;
@@ -349,7 +237,7 @@ void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
 
     // Own term (Algorithm 1 lines 6-8): leaf local PPV for non-hubs, the
     // unadjusted partial vector for hubs.
-    if (index_.own_vector_machine(query) == owner) {
+    if (index_.own_vector_machine(query) == machine) {
       SubgraphId final_sub = hierarchy.final_subgraph(query);
       VectorKind kind = hierarchy.is_hub(query) ? VectorKind::kHubPartial
                                                 : VectorKind::kOwnVector;
@@ -360,86 +248,6 @@ void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
   }
 }
 
-std::vector<SparseVector> HgpaQueryEngine::RunDistributed(
-    std::span<const std::span<const Preference>> queries,
-    std::vector<QueryMetrics>* per_query_metrics,
-    QueryMetrics* round_metrics) const {
-  const size_t num_queries = queries.size();
-  std::vector<SparseVector> results(num_queries);
-  if (num_queries == 0) {
-    // Still honor the metrics contract, so callers reusing out-params don't
-    // read a previous round's numbers.
-    if (round_metrics != nullptr) *round_metrics = QueryMetrics{};
-    if (per_query_metrics != nullptr) per_query_metrics->clear();
-    return results;
-  }
-
-  if (router_ != nullptr) {
-    return RunRouted(queries, per_query_metrics, round_metrics);
-  }
-
-  SimCluster::RoundResult round = cluster_.RunRound(
-      [&](size_t machine) { return MachineTask(machine, queries); });
-
-  WallTimer coordinator_timer;
-  std::vector<CommStats> per_query_comm(num_queries);
-  DenseAccumulator acc(index_.graph().num_nodes());
-  if (num_queries == 1) {
-    // Hot single-query path: payload order is already machine order — the
-    // reduce order — so fold each fragment as it is deserialized instead of
-    // materializing all n fragments at once. Same AddVector sequence as the
-    // batch path below, so results stay bit-identical across both.
-    for (const auto& payload : round.payloads) {
-      ByteReader reader(payload.data(), payload.size());
-      size_t before = reader.remaining();
-      acc.AddVector(SparseVector::Deserialize(reader), 1.0);
-      per_query_comm[0].Record(before - reader.remaining());
-      DPPR_CHECK(reader.AtEnd());
-    }
-    results[0] = acc.ToSparse();
-  } else {
-    // Split every machine payload back into its per-query fragments; fragment
-    // boundaries also yield each query's own share of the round's traffic.
-    std::vector<std::vector<SparseVector>> fragments(num_queries);
-    for (const auto& payload : round.payloads) {
-      ByteReader reader(payload.data(), payload.size());
-      for (size_t q = 0; q < num_queries; ++q) {
-        size_t before = reader.remaining();
-        fragments[q].push_back(SparseVector::Deserialize(reader));
-        per_query_comm[q].Record(before - reader.remaining());
-      }
-      DPPR_CHECK(reader.AtEnd());
-    }
-    // Reduce each query over its fragments in machine order, so the result is
-    // bit-identical to the single-query path regardless of batch composition.
-    for (size_t q = 0; q < num_queries; ++q) {
-      for (const SparseVector& fragment : fragments[q]) acc.AddVector(fragment, 1.0);
-      results[q] = acc.ToSparse();
-      acc.Clear();
-    }
-  }
-  round.metrics.coordinator_seconds = coordinator_timer.ElapsedSeconds();
-
-  QueryMetrics shared;
-  shared.max_machine_seconds = round.metrics.MaxMachineSeconds();
-  shared.coordinator_seconds = round.metrics.coordinator_seconds;
-  shared.simulated_seconds = round.metrics.SimulatedSeconds(cluster_.network());
-  shared.comm = round.metrics.to_coordinator;
-  shared.machines_contacted = index_.num_machines();
-  shared.round_id = round.round_id;
-  shared.machine_seconds = round.metrics.machine_seconds;
-  shared.machines.resize(index_.num_machines());
-  for (size_t m = 0; m < shared.machines.size(); ++m) shared.machines[m] = m;
-  if (round_metrics != nullptr) *round_metrics = shared;
-  if (per_query_metrics != nullptr) {
-    per_query_metrics->assign(num_queries, shared);
-    for (size_t q = 0; q < num_queries; ++q) {
-      (*per_query_metrics)[q].comm = per_query_comm[q];
-    }
-  }
-  return results;
-}
-
 std::vector<SparseVector> HgpaQueryEngine::RunRouted(
     std::span<const std::span<const Preference>> queries,
     std::vector<QueryMetrics>* per_query_metrics,
@@ -448,8 +256,8 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
   const size_t num_machines = index_.num_machines();
   std::vector<SparseVector> results(num_queries);
 
-  // Per-query routing plans over the nonzero-weight sources, then the round's
-  // participant set: the ascending union of every plan's targets.
+  // Per-query plans over the nonzero-weight sources, then the round's
+  // participant set: the ascending union of every plan's machines.
   std::vector<QueryRouter::Plan> plans(num_queries);
   std::vector<NodeId> sources;
   for (size_t q = 0; q < num_queries; ++q) {
@@ -468,8 +276,8 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
     if (is_participant[m]) participants.push_back(m);
   }
 
-  // What broadcast would have shipped for every machine routing skipped: the
-  // fixed serialization of an empty fragment.
+  // What the all-machines plan would have shipped for every machine a plan
+  // skipped: the fixed serialization of an empty fragment.
   const uint64_t empty_fragment_bytes = SparseVector().SerializedBytes();
 
   QueryMetrics shared;
@@ -480,46 +288,33 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
           return RoutedMachineTask(machine, queries, plans);
         });
 
-    WallTimer coordinator_timer;
-    // Re-walk each participant's (query, owner) serialization order to slice
-    // its payload back into per-query owner fragments.
-    std::vector<std::vector<std::pair<size_t, SparseVector>>> fragments(
-        num_queries);
-    for (size_t machine : participants) {
-      const auto& payload = round.payloads[machine];
-      ByteReader reader(payload.data(), payload.size());
-      for (size_t q = 0; q < num_queries; ++q) {
-        const QueryRouter::Plan& plan = plans[q];
-        auto it = std::lower_bound(plan.machines.begin(), plan.machines.end(),
-                                   machine);
-        if (it == plan.machines.end() || *it != machine) continue;
-        const size_t slot = static_cast<size_t>(it - plan.machines.begin());
-        for (size_t owner : plan.owners[slot]) {
-          size_t before = reader.remaining();
-          fragments[q].emplace_back(owner, SparseVector::Deserialize(reader));
-          per_query_comm[q].Record(before - reader.remaining());
-        }
-      }
-      DPPR_CHECK(reader.AtEnd());
-    }
-    // Reduce every query in OWNER order — the broadcast oracle's machine
-    // order. Which physical machine computed a fragment never reorders the
-    // floating-point fold, and the owners broadcast would have gathered
-    // empty fragments from add nothing, so results stay bit-identical.
-    DenseAccumulator acc(index_.graph().num_nodes());
-    for (size_t q = 0; q < num_queries; ++q) {
-      std::sort(fragments[q].begin(), fragments[q].end(),
-                [](const std::pair<size_t, SparseVector>& a,
-                   const std::pair<size_t, SparseVector>& b) {
-                  return a.first < b.first;
-                });
-      for (const auto& [owner, fragment] : fragments[q]) {
-        acc.AddVector(fragment, 1.0);
-      }
-      results[q] = acc.ToSparse();
-      acc.Clear();
-    }
-    round.metrics.coordinator_seconds = coordinator_timer.ElapsedSeconds();
+    // Every payload is its machine's fragments in query order, so one
+    // reader per machine, advanced in lockstep over the queries, yields
+    // each query's fragments in machine order — the reduce order, which
+    // keeps answers bit-identical whichever machines a plan skipped (they
+    // only ever contribute empty fragments).
+    round.metrics.coordinator_seconds =
+        SimCluster::TimeReduce(round.round_id, [&] {
+          std::vector<ByteReader> readers;
+          readers.reserve(num_machines);
+          for (const auto& payload : round.payloads) {
+            readers.emplace_back(payload);
+          }
+          DenseAccumulator acc(index_.graph().num_nodes());
+          for (size_t q = 0; q < num_queries; ++q) {
+            for (size_t machine : plans[q].machines) {
+              ByteReader& reader = readers[machine];
+              const size_t before = reader.remaining();
+              acc.AddVector(SparseVector::Deserialize(reader), 1.0);
+              per_query_comm[q].Record(before - reader.remaining());
+            }
+            results[q] = acc.ToSparse();
+            acc.Clear();
+          }
+          for (const ByteReader& reader : readers) {
+            DPPR_CHECK(reader.AtEnd());
+          }
+        });
 
     shared.max_machine_seconds = round.metrics.MaxMachineSeconds();
     shared.coordinator_seconds = round.metrics.coordinator_seconds;
@@ -533,7 +328,7 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
   shared.machines_contacted = participants.size();
   for (const QueryRouter::Plan& plan : plans) {
     shared.routing_bytes_saved +=
-        (num_machines - plan.contributors) * empty_fragment_bytes;
+        (num_machines - plan.machines.size()) * empty_fragment_bytes;
   }
   if (round_metrics != nullptr) *round_metrics = shared;
   if (per_query_metrics != nullptr) {
@@ -544,7 +339,7 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
       m.machines = plans[q].machines;
       m.machines_contacted = plans[q].machines.size();
       m.routing_bytes_saved =
-          (num_machines - plans[q].contributors) * empty_fragment_bytes;
+          (num_machines - plans[q].machines.size()) * empty_fragment_bytes;
     }
   }
   return results;
@@ -555,7 +350,7 @@ SparseVector HgpaQueryEngine::Query(NodeId query, QueryMetrics* metrics) const {
   Preference single{query, 1.0};
   std::span<const Preference> preferences{&single, 1};
   return std::move(
-      RunDistributed({&preferences, 1}, nullptr, metrics).front());
+      RunRouted({&preferences, 1}, nullptr, metrics).front());
 }
 
 SparseVector HgpaQueryEngine::QueryPreferenceSet(
@@ -564,7 +359,7 @@ SparseVector HgpaQueryEngine::QueryPreferenceSet(
     DPPR_CHECK_LT(p.node, index_.graph().num_nodes());
   }
   return std::move(
-      RunDistributed({&preferences, 1}, nullptr, metrics).front());
+      RunRouted({&preferences, 1}, nullptr, metrics).front());
 }
 
 std::vector<SparseVector> HgpaQueryEngine::QueryPreferenceSetMany(
@@ -579,7 +374,7 @@ std::vector<SparseVector> HgpaQueryEngine::QueryPreferenceSetMany(
     }
     spans.emplace_back(prefs);
   }
-  return RunDistributed(spans, per_query_metrics, round_metrics);
+  return RunRouted(spans, per_query_metrics, round_metrics);
 }
 
 std::vector<double> HgpaQueryEngine::QueryDense(NodeId query,

@@ -4,7 +4,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "dppr/core/dist_precompute.h"
@@ -17,23 +16,9 @@
 
 namespace dppr {
 
-/// Hot-shard replication policy. Hub (skeleton column, partial vector)
-/// pairs are tiny, read-only after precompute, and sit on every query
-/// chain's fold path — copying the hottest of them into every machine's
-/// store lets the routed query path absorb those owners' folds onto a
-/// machine that must run anyway, shrinking most routing sets toward the
-/// source's own-vector machine. A pair is replicated whole (the fold needs
-/// both halves; a skeleton without its partial absorbs nothing).
-struct ReplicationOptions {
-  /// Per-machine byte budget for replicated pairs (serialized bytes, the
-  /// same ledger unit as MaxMachineBytes). 0 disables replication — the
-  /// default, so byte-ledger equivalence across backends is unaffected
-  /// unless explicitly asked for.
-  size_t budget_bytes = 0;
-
-  /// DPPR_REPLICATE_BYTES (bytes; unset or 0 keeps replication off).
-  static ReplicationOptions FromEnv();
-};
+/// Accepted and ignored by HgpaIndex::FromDistributed, so call sites written
+/// against the former hot-shard replication knob still compile.
+struct ReplicationOptions {};
 
 /// A precomputation distributed onto n simulated machines under a shared
 /// PlacementPlan: the paper's hub-node partitioning (Eq. 7) splits every
@@ -53,15 +38,13 @@ class HgpaIndex {
   static HgpaIndex Distribute(
       std::shared_ptr<const HgpaPrecomputation> precomputation,
       size_t num_machines,
-      const StorageOptions& storage = StorageOptions::FromEnv(),
-      const ReplicationOptions& replication = ReplicationOptions::FromEnv());
+      const StorageOptions& storage = StorageOptions::FromEnv());
 
   /// Adopts the machine-owned stores a DistributedPrecompute run produced
   /// (placement is already fixed by the run's PlacementPlan). The offline
   /// ledger carries the run's per-machine compute charges.
-  static HgpaIndex FromDistributed(
-      DistributedPrecompute::Result result,
-      const ReplicationOptions& replication = ReplicationOptions::FromEnv());
+  static HgpaIndex FromDistributed(DistributedPrecompute::Result result,
+                                   ReplicationOptions = {});
 
   const Graph& graph() const { return *graph_; }
   const Hierarchy& hierarchy() const { return *hierarchy_; }
@@ -94,17 +77,6 @@ class HgpaIndex {
     return hierarchy_;
   }
 
-  /// True when this hub's (skeleton, partial) pair was replicated into every
-  /// machine's store under the replication budget.
-  bool hub_replicated(SubgraphId sub, NodeId hub) const {
-    return replicated_hubs_.count(MakeVectorKey(VectorKind::kHubPartial, sub,
-                                                hub)) > 0;
-  }
-  /// Replicated hub pairs, and the serialized bytes each machine spends
-  /// holding the other machines' replicated pairs (≤ the budget).
-  size_t num_replicated_hubs() const { return replicated_hubs_.size(); }
-  size_t replica_bytes_per_machine() const { return replica_bytes_; }
-
   /// Per-machine offline time: each vector's compute time charged to the
   /// machine that stores it (§5: "each machine only needs to handle the
   /// nodes assigned to it").
@@ -123,12 +95,6 @@ class HgpaIndex {
   size_t ResidentBytesTotal() const;
 
  private:
-  /// Copies the hottest (subgraph, owner) hub groups — ranked by chain
-  /// reach per byte, deterministic tie-break — whole into every other
-  /// machine's store until the per-machine budget is full; oversized groups
-  /// are skipped and packing continues.
-  void ReplicateHotShards(const ReplicationOptions& replication);
-
   const Graph* graph_ = nullptr;
   std::shared_ptr<const Hierarchy> hierarchy_;
   HgpaOptions options_;
@@ -138,10 +104,6 @@ class HgpaIndex {
   std::vector<std::unordered_map<SubgraphId, std::vector<NodeId>>> machine_hubs_;
   std::vector<size_t> own_machine_;
   MachineTimeLedger offline_{1};
-  /// Keys (kHubPartial-kinded) of the replicated hub pairs.
-  std::unordered_set<uint64_t> replicated_hubs_;
-  /// Serialized bytes of replicas each non-owner machine holds.
-  size_t replica_bytes_ = 0;
 };
 
 /// Query statistics reported by the paper's experiments.
@@ -198,17 +160,16 @@ class HgpaQueryEngine {
   /// per-query fragment rounds travel over (DPPR_TRANSPORT=tcp → real
   /// localhost sockets); answers and fragment byte accounting are
   /// bit-identical across backends.
-  /// `routing` picks the query fan-out (DPPR_ROUTING; default route — only
-  /// contributing shards run each query's round; broadcast is the oracle).
+  /// `routing` picks the query fan-out (default route — only contributing
+  /// shards run each query's round; broadcast, the trivial all-machines
+  /// plan, is the oracle).
   explicit HgpaQueryEngine(HgpaIndex index, NetworkModel network = {},
                            TransportOptions transport = TransportOptions::FromEnv(),
-                           RoutingOptions routing = RoutingOptions::FromEnv());
+                           RoutingOptions routing = {});
 
-  RoutingMode routing_mode() const {
-    return router_ != nullptr ? RoutingMode::kRoute : RoutingMode::kBroadcast;
-  }
-  /// The routing table (null under broadcast).
-  const QueryRouter* router() const { return router_.get(); }
+  RoutingMode routing_mode() const { return router_->mode(); }
+  /// The routing table every round is planned with.
+  const QueryRouter& router() const { return *router_; }
 
   /// Switches how machine compute time is measured (see SimCluster::TimerKind;
   /// the serving layer uses kThreadCpu so concurrent rounds don't inflate
@@ -257,43 +218,26 @@ class HgpaQueryEngine {
   const HgpaIndex& index() const { return index_; }
 
  private:
-  std::vector<uint8_t> MachineTask(
-      size_t machine,
-      std::span<const std::span<const Preference>> queries) const;
-
-  /// Routed counterpart: `machine` computes, for every query whose plan
-  /// targets it, one fragment per owner it covers (its own plus absorbed
-  /// replicated owners), in (query, owner) order.
+  /// `machine`'s share of one round: for every query whose plan targets it,
+  /// one serialized fragment, in query order.
   std::vector<uint8_t> RoutedMachineTask(
-      size_t machine,
-      std::span<const std::span<const Preference>> queries,
+      size_t machine, std::span<const std::span<const Preference>> queries,
       std::span<const QueryRouter::Plan> plans) const;
 
-  /// Folds owner `owner`'s share of the query — its hubs along every
-  /// preference chain plus its own terms — reading vectors from `machine`'s
-  /// store. Broadcast passes owner == machine; the routed path may pass a
-  /// replicated owner absorbed onto `machine`. The fold order is identical
-  /// either way, which is what keeps routed results bit-identical.
-  void AccumulateOwner(size_t machine, size_t owner,
-                       std::span<const Preference> preferences,
-                       DenseAccumulator& acc) const;
+  /// Folds `machine`'s share of the query — its hubs along every preference
+  /// chain plus the own terms it stores — into `acc`.
+  void Accumulate(size_t machine, std::span<const Preference> preferences,
+                  DenseAccumulator& acc) const;
 
-  /// Appends every storage key owner `owner`'s fold of this query will look
-  /// up, in fold order — what the machine tasks hand to PpvStore::Prefetch
-  /// so the disk backend's cold misses overlap up front instead of
-  /// serializing inside AccumulateOwner.
-  void CollectOwnerKeys(size_t owner, std::span<const Preference> preferences,
-                        std::vector<uint64_t>& keys) const;
+  /// Appends every storage key `machine`'s fold of this query will look up,
+  /// in fold order — what RoutedMachineTask hands to PpvStore::Prefetch so
+  /// the disk backend's cold misses overlap up front instead of serializing
+  /// inside Accumulate.
+  void CollectKeys(size_t machine, std::span<const Preference> preferences,
+                   std::vector<uint64_t>& keys) const;
 
-  std::vector<uint64_t> CollectBatchKeys(
-      size_t machine,
-      std::span<const std::span<const Preference>> queries) const;
-
-  std::vector<SparseVector> RunDistributed(
-      std::span<const std::span<const Preference>> queries,
-      std::vector<QueryMetrics>* per_query_metrics,
-      QueryMetrics* round_metrics) const;
-
+  /// The query round: plans every query, runs the union of the plans on the
+  /// cluster, and folds each query's fragments at the coordinator.
   std::vector<SparseVector> RunRouted(
       std::span<const std::span<const Preference>> queries,
       std::vector<QueryMetrics>* per_query_metrics,
@@ -305,8 +249,8 @@ class HgpaQueryEngine {
   /// a typo dies). Only consulted for disk-backed stores — the in-memory
   /// backends have nothing to prefetch, so key enumeration is skipped too.
   bool prefetch_enabled_;
-  /// Routing table under RoutingMode::kRoute; null under broadcast. Shared
-  /// (and self-contained) so engine copies and moves stay cheap and safe.
+  /// Shared (and self-contained) so engine copies and moves stay cheap and
+  /// safe.
   std::shared_ptr<const QueryRouter> router_;
 };
 

@@ -169,21 +169,26 @@ class SimCluster {
   /// Which backend this cluster's rounds actually travel over.
   TransportBackend transport_backend() const { return transport_->backend(); }
 
-  /// Runs one round: `task(m)` for every machine m, each timed individually;
-  /// every payload travels machine → coordinator through the Transport.
-  /// The returned metrics have machine_seconds and to_coordinator filled;
-  /// coordinator_seconds is left 0 for the caller's reduce phase.
+  /// Runs one round on every machine: RunRoundOn(0..n-1, task).
   RoundResult RunRound(const MachineTask& task) const;
 
-  /// Routed round: runs `task` only on `machines` (sorted, unique, non-empty
-  /// subset of 0..n-1) — the non-participants pay no compute, send nothing,
-  /// and charge no comm. The result keeps full-cluster indexing: payloads
-  /// has num_machines() entries (empty for non-participants) and
-  /// machine_seconds stays n-wide with zeros, so reduce code written against
-  /// RunRound works unchanged. CommStats covers participants only, in
-  /// machine order.
+  /// Runs `task` only on `machines` (sorted, unique, non-empty subset of
+  /// 0..n-1), each timed individually; every participant's payload travels
+  /// machine → coordinator through the Transport. Non-participants pay no
+  /// compute, send nothing, and charge no comm. The result keeps
+  /// full-cluster indexing: payloads has num_machines() entries (empty for
+  /// non-participants) and machine_seconds stays n-wide with zeros.
+  /// CommStats covers participants only, in machine order.
+  /// coordinator_seconds is left 0 for the caller's reduce phase.
   RoundResult RunRoundOn(std::span<const size_t> machines,
                          const MachineTask& task) const;
+
+  /// Times `reduce` as the coordinator phase of round `round_id`: one
+  /// cluster.reduce span (arg round) on the coordinator lane and one
+  /// cluster.reduce_us sample. Returns the measured seconds, which callers
+  /// store as the round's coordinator_seconds.
+  static double TimeReduce(uint64_t round_id,
+                           const std::function<void()>& reduce);
 
   /// Multi-round convenience: runs one round, times `reduce` as the
   /// coordinator phase (stored into the round's coordinator_seconds), and

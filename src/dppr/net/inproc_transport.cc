@@ -44,13 +44,9 @@ void InProcessTransport::SendToCoordinator(uint64_t round, size_t src,
   coordinator_.Push(round, src, std::move(payload));
 }
 
-std::vector<std::vector<uint8_t>> InProcessTransport::GatherRound(uint64_t round) {
-  return coordinator_.WaitAll(round);
-}
-
-std::vector<std::vector<uint8_t>> InProcessTransport::GatherRoundPartial(
+std::vector<std::vector<uint8_t>> InProcessTransport::GatherRound(
     uint64_t round, size_t expected) {
-  return coordinator_.WaitCount(round, expected);
+  return coordinator_.Wait(round, expected);
 }
 
 void InProcessTransport::SendToMachine(uint64_t round, size_t src, size_t dst,
@@ -66,7 +62,7 @@ void InProcessTransport::SendToMachine(uint64_t round, size_t src, size_t dst,
 std::vector<std::vector<uint8_t>> InProcessTransport::ReceiveExchange(
     uint64_t round, size_t dst) {
   DPPR_CHECK_LT(dst, num_machines());
-  return machines_[dst]->WaitAll(round);
+  return machines_[dst]->Wait(round, num_machines());
 }
 
 }  // namespace dppr

@@ -385,13 +385,9 @@ void TcpTransport::SendToCoordinator(uint64_t round, size_t src,
             kCoordinatorDst, payload);
 }
 
-std::vector<std::vector<uint8_t>> TcpTransport::GatherRound(uint64_t round) {
-  return endpoints_[coordinator_endpoint()]->inbox.WaitAll(round);
-}
-
-std::vector<std::vector<uint8_t>> TcpTransport::GatherRoundPartial(
-    uint64_t round, size_t expected) {
-  return endpoints_[coordinator_endpoint()]->inbox.WaitCount(round, expected);
+std::vector<std::vector<uint8_t>> TcpTransport::GatherRound(uint64_t round,
+                                                            size_t expected) {
+  return endpoints_[coordinator_endpoint()]->inbox.Wait(round, expected);
 }
 
 void TcpTransport::SendToMachine(uint64_t round, size_t src, size_t dst,
@@ -405,7 +401,7 @@ void TcpTransport::SendToMachine(uint64_t round, size_t src, size_t dst,
 std::vector<std::vector<uint8_t>> TcpTransport::ReceiveExchange(uint64_t round,
                                                                 size_t dst) {
   DPPR_CHECK_LT(dst, num_machines());
-  return endpoints_[dst]->inbox.WaitAll(round);
+  return endpoints_[dst]->inbox.Wait(round, num_machines());
 }
 
 }  // namespace dppr

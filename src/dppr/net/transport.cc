@@ -66,8 +66,8 @@ void FrameInbox::Push(uint64_t round, size_t src, std::vector<uint8_t> payload) 
   slot.payloads[src] = std::move(payload);
   ++slot.arrived;
   // Once the waiter declared the round's size, a surplus frame is a
-  // non-participant sending into a routed round — hostile, same as a
-  // duplicate (full rounds cap out via the per-source check above).
+  // non-participant sending into the round — hostile, same as a duplicate
+  // (full rounds cap out via the per-source check above).
   if (slot.expected != 0) {
     DPPR_CHECK_LE(slot.arrived, slot.expected);
     // Exactly one waiter per round, parked on this slot's own cv —
@@ -77,12 +77,8 @@ void FrameInbox::Push(uint64_t round, size_t src, std::vector<uint8_t> payload) 
   }
 }
 
-std::vector<std::vector<uint8_t>> FrameInbox::WaitAll(uint64_t round) {
-  return WaitCount(round, num_sources_);
-}
-
-std::vector<std::vector<uint8_t>> FrameInbox::WaitCount(uint64_t round,
-                                                        size_t expected) {
+std::vector<std::vector<uint8_t>> FrameInbox::Wait(uint64_t round,
+                                                   size_t expected) {
   DPPR_CHECK_GE(expected, 1u);
   DPPR_CHECK_LE(expected, num_sources_);
   std::unique_lock<std::mutex> lock(mu_);

@@ -62,26 +62,22 @@ class FrameInbox {
   FrameInbox& operator=(const FrameInbox&) = delete;
 
   /// Files `payload` under (round, src). A second frame for the same slot,
-  /// or any frame for a round WaitAll already retired, is hostile (each
+  /// or any frame for a round Wait already retired, is hostile (each
   /// source sends exactly one payload per round, and nobody will ever wait
   /// on a retired round again — absorbing the replay would orphan a slot
   /// holding payload copies forever) and dies.
   void Push(uint64_t round, size_t src, std::vector<uint8_t> payload);
 
-  /// Blocks until all `num_sources` payloads of `round` arrived, then
-  /// returns them indexed by source and retires the round. Many rounds may
-  /// be in flight at once (concurrent queries); each waiter sleeps on its
-  /// own round's condition variable, so one round completing never wakes
-  /// another round's gatherer.
-  std::vector<std::vector<uint8_t>> WaitAll(uint64_t round);
-
-  /// Like WaitAll, but the round is complete after `expected` payloads (a
-  /// routed round where only a subset of sources send). The returned vector
-  /// is still indexed by source with num_sources entries — absent sources
-  /// are empty. The waiter is what knows how many senders a round has, so a
-  /// frame count above `expected` (a non-participant sending anyway) is
-  /// hostile and dies in Push once the waiter declared the round's size.
-  std::vector<std::vector<uint8_t>> WaitCount(uint64_t round, size_t expected);
+  /// Blocks until `expected` (1..num_sources) payloads of `round` arrived,
+  /// then returns them indexed by source — num_sources entries, empty for
+  /// sources that sent nothing — and retires the round. Many rounds may be
+  /// in flight at once (concurrent queries); each waiter sleeps on its own
+  /// round's condition variable, so one round completing never wakes
+  /// another round's gatherer. The waiter is what knows how many senders a
+  /// round has, so a frame count above `expected` (a non-participant sending
+  /// anyway) is hostile and dies in Push once the waiter declared the
+  /// round's size.
+  std::vector<std::vector<uint8_t>> Wait(uint64_t round, size_t expected);
 
  private:
   struct Slot {
@@ -89,8 +85,8 @@ class FrameInbox {
     std::vector<uint8_t> present;
     size_t arrived = 0;
     /// How many payloads complete this round; 0 until the waiter arrives
-    /// and declares it (Push cannot know a routed round's participant
-    /// count on its own).
+    /// and declares it (Push cannot know a round's participant count on its
+    /// own).
     size_t expected = 0;
     /// Per-round: only this round's waiter ever sleeps here.
     std::condition_variable arrived_cv;
@@ -119,9 +115,9 @@ class FrameInbox {
 /// where the bytes physically travel.
 ///
 /// Two primitives, mirroring the two traffic patterns of the paper:
-///   - gather: every machine sends one payload per round to the coordinator
-///     (SendToCoordinator / GatherRound) — offline supersteps and query
-///     fragment collection;
+///   - gather: each participating machine sends one payload per round to the
+///     coordinator (SendToCoordinator / GatherRound) — offline supersteps
+///     and query fragment collection;
 ///   - exchange: machine → machine p2p payloads (SendToMachine /
 ///     ReceiveExchange) — the home for Lin-style shuffle rounds where a
 ///     vector is computed where the subgraph lives and shipped to its owner.
@@ -162,15 +158,11 @@ class Transport {
   virtual void SendToCoordinator(uint64_t round, size_t src,
                                  std::vector<uint8_t> payload) = 0;
 
-  /// Coordinator side: blocks until every machine's payload for `round`
-  /// arrived; returns them indexed by machine.
-  virtual std::vector<std::vector<uint8_t>> GatherRound(uint64_t round) = 0;
-
-  /// Partial-gather variant for routed rounds: blocks until `expected`
-  /// payloads arrived (only a subset of machines sends), returns them still
-  /// indexed by machine — non-senders' entries are empty.
-  virtual std::vector<std::vector<uint8_t>> GatherRoundPartial(
-      uint64_t round, size_t expected) = 0;
+  /// Coordinator side: blocks until `expected` machines' payloads for
+  /// `round` arrived; returns them indexed by machine (num_machines entries,
+  /// empty for machines that sent nothing).
+  virtual std::vector<std::vector<uint8_t>> GatherRound(uint64_t round,
+                                                        size_t expected) = 0;
 
   /// Ships one p2p payload from machine `src` to machine `dst`.
   virtual void SendToMachine(uint64_t round, size_t src, size_t dst,

@@ -76,7 +76,7 @@ AdminHttpServer::AdminHttpServer() {
   Handle("/", "text/plain", [] {
     return std::string(
         "dppr admin plane\n/metrics  Prometheus text\n/healthz  liveness\n"
-        "/statusz  placement, replication, serving, slow queries (JSON)\n");
+        "/statusz  placement, serving, slow queries (JSON)\n");
   });
   Handle("/statusz", "application/json", [this] {
     std::vector<std::pair<std::string, Handler>> sections;

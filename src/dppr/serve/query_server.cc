@@ -426,9 +426,7 @@ std::string QueryServer::StatusJson() const {
                 "\"placement\":{\"machines\":%zu,\"routing\":\"%s\","
                 "\"max_machine_bytes\":%zu,\"total_bytes\":%zu,"
                 "\"bytes_per_machine\":[",
-                index.num_machines(),
-                engine_.routing_mode() == RoutingMode::kRoute ? "route"
-                                                              : "broadcast",
+                index.num_machines(), RoutingModeName(engine_.routing_mode()),
                 index.MaxMachineBytes(), index.TotalBytes());
   out += buf;
   for (size_t m = 0; m < bytes_per_machine.size(); ++m) {
@@ -437,13 +435,6 @@ std::string QueryServer::StatusJson() const {
     out += buf;
   }
   out += "]},";
-
-  // Hot-shard replication budget vs. usage.
-  std::snprintf(buf, sizeof(buf),
-                "\"replication\":{\"replicated_hubs\":%zu,"
-                "\"replica_bytes_per_machine\":%zu},",
-                index.num_replicated_hubs(), index.replica_bytes_per_machine());
-  out += buf;
 
   std::snprintf(
       buf, sizeof(buf),

@@ -205,8 +205,8 @@ class QueryServer {
   std::vector<QueryProfile> RecentProfiles() const;
   std::vector<QueryProfile> RecentSlowQueries() const;
 
-  /// Live introspection JSON for the admin plane's /statusz: placement and
-  /// replication summary, serving stats, result-cache occupancy, and the
+  /// Live introspection JSON for the admin plane's /statusz: placement
+  /// summary, serving stats, result-cache occupancy, and the
   /// recent slow queries. Safe to call while serving.
   std::string StatusJson() const;
 

@@ -54,8 +54,7 @@ struct DiskMetrics {
 
 /// First line of a segment-manifest spill. A named spill path holds this
 /// small text manifest; the records live in per-kind segment files next to
-/// it. A path whose bytes don't start with the magic is a legacy single-file
-/// record stream and still opens (all segment slots alias the one file).
+/// it.
 constexpr std::string_view kManifestMagic = "DPPR-SPILL-MANIFEST v1";
 
 /// Manifest line prefixes and named-segment filename suffixes, indexed by
@@ -84,17 +83,6 @@ std::string ReadWholeFile(const std::string& path) {
                    std::istreambuf_iterator<char>());
   DPPR_CHECK(!in.bad());
   return text;
-}
-
-/// True when the file at `path` starts with the manifest magic (reads only
-/// the prefix — a legacy spill can be huge).
-bool HasManifestMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DPPR_CHECK(in.good());
-  std::string prefix(kManifestMagic.size(), '\0');
-  in.read(prefix.data(), static_cast<std::streamsize>(prefix.size()));
-  return static_cast<size_t>(in.gcount()) == prefix.size() &&
-         prefix == kManifestMagic;
 }
 
 }  // namespace
@@ -246,12 +234,12 @@ DiskSpillStorage::DiskSpillStorage(const StorageOptions& options)
 
 std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
     const std::string& path, const StorageOptions& options) {
-  // Rebuild the index by walking the record stream(s). Every record is fully
-  // re-validated (VectorRecord::Deserialize DPPR_CHECKs kinds, id ranges and
-  // blob framing), so truncation or corruption dies here — at open — rather
-  // than serving garbage at query time.
+  // Rebuild the index by walking the segments' record streams. Every record
+  // is fully re-validated (VectorRecord::Deserialize DPPR_CHECKs kinds, id
+  // ranges and blob framing), so truncation or corruption dies here — at
+  // open — rather than serving garbage at query time.
   auto scan_into = [](DiskSpillStorage& store, SpillFile& file,
-                      int expected_kind) {
+                      uint8_t expected_kind) {
     file.Scan([&](std::span<const uint8_t> bytes) {
       ByteReader reader(bytes.data(), bytes.size());
       while (!reader.AtEnd()) {
@@ -260,8 +248,7 @@ std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
         // In a per-kind segment every record must carry that segment's kind:
         // a record smuggled into the wrong file would later be read back
         // from the wrong segment.
-        DPPR_CHECK(expected_kind < 0 ||
-                   static_cast<int>(record.kind) == expected_kind);
+        DPPR_CHECK(static_cast<uint8_t>(record.kind) == expected_kind);
         store.IndexExtent(MakeVectorKey(record.kind, record.sub, record.node),
                           {start, reader.position() - start});
         store.Charge(record.kind, record.vec.SerializedBytes());
@@ -269,24 +256,12 @@ std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
     });
   };
 
-  if (!HasManifestMagic(path)) {
-    // Legacy single-file spill: one record stream holds every kind, and all
-    // three segment slots alias it, so key-derived segment routing still
-    // lands on the right file.
-    SegmentArray files;
-    files.fill(SpillFile::Open(path));
-    std::unique_ptr<DiskSpillStorage> store(
-        new DiskSpillStorage(std::move(files), options.cache_bytes));
-    scan_into(*store, *store->files_[0], /*expected_kind=*/-1);
-    return store;
-  }
-
   // Segment manifest: magic line, one "<kind> <basename>" line per kind in
   // enum order, then the "end" trailer — a truncated manifest loses the
   // trailer and dies here.
   std::vector<std::string> lines = SplitLines(ReadWholeFile(path));
+  DPPR_CHECK(!lines.empty() && lines[0] == kManifestMagic);
   DPPR_CHECK_GE(lines.size(), size_t{kNumVectorKinds} + 2);
-  DPPR_CHECK(lines[0] == kManifestMagic);
   DPPR_CHECK(lines[1 + kNumVectorKinds] == "end");
   std::string dir = DirOf(path);
   SegmentArray files;
@@ -304,7 +279,7 @@ std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
   std::unique_ptr<DiskSpillStorage> store(
       new DiskSpillStorage(std::move(files), options.cache_bytes));
   for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
-    scan_into(*store, *store->files_[k], /*expected_kind=*/k);
+    scan_into(*store, *store->files_[k], k);
   }
   return store;
 }

@@ -88,9 +88,7 @@ class SpillFile {
 ///
 /// A named store (options.spill_path) writes a small text manifest at the
 /// path plus one `<path>.<kind>` segment per kind; PpvStore::OpenSpill reads
-/// the manifest back. A path holding a legacy single-file record stream
-/// (no manifest magic) still opens: all three segment slots alias the one
-/// file, so pre-segment spills stay readable.
+/// the manifest back; a path without the manifest magic dies at open.
 ///
 /// The miss path is singleflighted: concurrent misses of the same vector
 /// coalesce onto one disk read — the first thread loads, the rest wait for
@@ -109,8 +107,8 @@ class DiskSpillStorage final : public VectorStorage {
   /// kept on disk) or anonymous temp segments in options.spill_dir.
   explicit DiskSpillStorage(const StorageOptions& options);
 
-  /// Rebuilds a store from an existing spill (segment manifest or legacy
-  /// single file) by scanning its records. Truncated or corrupted files
+  /// Rebuilds a store from an existing segment-manifest spill by scanning
+  /// its records. Truncated or corrupted files
   /// DPPR_CHECK-fail here, at open. The store is read-only: further puts die
   /// in SpillFile::Append.
   static std::unique_ptr<DiskSpillStorage> OpenExisting(

@@ -267,7 +267,7 @@ TEST(FindPair, CopiedStoreDoesNotAliasSourcePairIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-kind segments: manifest round trip, legacy compatibility, hostile input
+// Per-kind segments: manifest round trip, hostile input
 // ---------------------------------------------------------------------------
 
 TEST(SpillSegments, NamedSpillWritesManifestAndSegments) {
@@ -298,45 +298,6 @@ TEST(SpillSegments, NamedSpillWritesManifestAndSegments) {
   RemoveSpill(path);
 }
 
-TEST(SpillSegments, LegacySingleFileSpillStillOpensAndPrefetches) {
-  // A pre-segment spill is one concatenated record stream with every kind
-  // interleaved. It must open (all segment slots alias the one file), serve
-  // bit-identical vectors, and still accept Prefetch.
-  std::string path = TempPath("legacy");
-  ByteWriter writer;
-  std::vector<SparseVector> expected;
-  std::vector<uint64_t> keys;
-  for (NodeId i = 0; i < 4; ++i) {
-    for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
-      expected.push_back(RandomSparseVector(800 + 10 * i + k, 15));
-      VectorRecord::Serialize(writer, static_cast<VectorKind>(k), 1, i,
-                              /*seconds=*/0.0, expected.back());
-      keys.push_back(MakeVectorKey(static_cast<VectorKind>(k), 1, i));
-    }
-  }
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-              static_cast<std::streamsize>(writer.bytes().size()));
-  }
-
-  // Explicit budget: the env legs' tiny DPPR_CACHE_BYTES would cap how many
-  // loads one Prefetch pass may plan, and this test counts them exactly.
-  PpvStore legacy = PpvStore::OpenSpill(path, Disk());
-  EXPECT_EQ(legacy.num_vectors(), expected.size());
-  legacy.Prefetch(keys);
-  EXPECT_EQ(legacy.storage_stats().prefetch_issued, expected.size());
-  size_t i = 0;
-  for (NodeId node = 0; node < 4; ++node) {
-    for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
-      PpvRef found = legacy.Find(static_cast<VectorKind>(k), 1, node);
-      ASSERT_TRUE(found);
-      EXPECT_EQ(*found, expected[i++]);
-    }
-  }
-  std::remove(path.c_str());
-}
-
 std::string WriteValidSegmentSpill(const std::string& path) {
   StorageOptions options = Disk();
   options.spill_path = path;
@@ -346,6 +307,24 @@ std::string WriteValidSegmentSpill(const std::string& path) {
     store.PutOwned(static_cast<VectorKind>(k), 0, k, vec, vec.SerializedBytes());
   }
   return ReadText(path);
+}
+
+TEST(SpillManifestHostile, LegacySingleFileSpillDies) {
+  // A pre-segment spill is one concatenated record stream with no manifest
+  // magic; it is refused at open instead of being read as a manifest.
+  std::string path = TempPath("legacy");
+  ByteWriter writer;
+  for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
+    VectorRecord::Serialize(writer, static_cast<VectorKind>(k), 1, k,
+                            /*seconds=*/0.0, RandomSparseVector(800 + k, 15));
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
+              static_cast<std::streamsize>(writer.bytes().size()));
+  }
+  EXPECT_DEATH(PpvStore::OpenSpill(path, Disk()), "kManifestMagic");
+  std::remove(path.c_str());
 }
 
 TEST(SpillManifestHostile, MissingEndTrailerDies) {

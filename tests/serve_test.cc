@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dppr/core/hgpa.h"
+#include "dppr/obs/metrics.h"
 #include "test_util.h"
 
 namespace dppr {
@@ -113,6 +114,21 @@ TEST(ConcurrentServing, EmptyBatchIsFine) {
                       &per_query, &round)
                   .empty());
   EXPECT_EQ(round.comm.messages, 0u);
+}
+
+TEST(ConcurrentServing, ServedRoundRecordsOneCoordinatorReduceSample) {
+  // The coordinator's fold is timed by the same SimCluster code as the
+  // offline reduce: one served round adds exactly one cluster.reduce_us
+  // sample.
+  Graph graph = RandomDigraph(60, 3.0, 31);
+  QueryServer server(MakeEngine(graph, 3), ServeOptions{});
+  obs::Histogram* reduce_us =
+      obs::MetricsRegistry::Global().GetHistogram("cluster.reduce_us");
+  const uint64_t before = reduce_us->TakeSnapshot().total;
+  QueryServer::Response response = server.Query(11);
+  ASSERT_FALSE(response.ppv.entries().empty());
+  EXPECT_EQ(server.Stats().rounds, 1u);
+  EXPECT_EQ(reduce_us->TakeSnapshot().total, before + 1);
 }
 
 TEST(ConcurrentServing, ServerAnswersBitIdenticalUnderContention) {

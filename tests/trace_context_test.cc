@@ -134,7 +134,7 @@ void ExpectSpansOnExactlyTheRoutedMachines(TransportBackend backend) {
       HgpaQueryEngine(HgpaIndex::Distribute(pre, 4), NetworkModel{}, transport,
                       RoutingOptions{RoutingMode::kRoute}),
       ServeOptions{});
-  ASSERT_NE(server.engine().router(), nullptr);
+  ASSERT_EQ(server.engine().routing_mode(), RoutingMode::kRoute);
 
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.set_enabled(true);
@@ -144,7 +144,7 @@ void ExpectSpansOnExactlyTheRoutedMachines(TransportBackend backend) {
   ASSERT_FALSE(response.ppv.entries().empty());
 
   const NodeId source = 13;
-  QueryRouter::Plan plan = server.engine().router()->Route({&source, 1});
+  QueryRouter::Plan plan = server.engine().router().Route({&source, 1});
   ASSERT_FALSE(plan.machines.empty());
   EXPECT_EQ(response.metrics.machines, plan.machines);
 
